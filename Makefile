@@ -16,7 +16,7 @@ BENCH_BASELINE ?= BENCH_5.json
 CLUSTER_BASELINE ?= BENCH_9.json
 CLUSTER_CURRENT ?= BENCH_10.json
 
-.PHONY: build test vet race bench bench-quick bench-json bench-radar serve-smoke bench-serve bench-memsched bench-incremental incremental-smoke bench-cluster cluster-smoke oracle check
+.PHONY: build test vet race bench bench-quick bench-json bench-radar serve-smoke bench-serve bench-memsched bench-incremental incremental-smoke bench-cluster cluster-smoke cluster-stress perfbench-check oracle check
 
 build:
 	$(GO) build ./...
@@ -87,21 +87,22 @@ serve-smoke:
 bench-serve:
 	$(GO) run ./cmd/spamload -self-serve -out BENCH_6.json -check
 
-# oracle runs the differential oracles — indexed vs naive matcher,
-# template-instantiated vs fresh-compiled engines, fast-vs-exact
-# geometry, the scheduling policies (simulator vs Run anchor, pool
-# policies and memory budgets vs the serial FIFO baseline), and the
-# incremental-update path (retract/reassert vs fresh load, warm-engine
-# reset, session updates vs from-scratch re-interpretation, at the
-# engine, spam and serve layers) — at every level (rete scripts, ops5
-# engines, geometry kernels, the scheduler, the task-process pool,
-# full-SPAM interpretations, the HTTP session surface), under the race
-# detector. These are the byte-identity guarantees of
-# docs/PERFORMANCE.md; everything here also runs as part of `race`,
-# but this target names the contract and fails fast on it.
+# oracle runs the differential oracles — one-shot vs session task
+# decomposition (same task IDs and per-phase charges), indexed vs
+# naive matcher, template-instantiated vs fresh-compiled engines,
+# fast-vs-exact geometry, the scheduling policies (simulator vs Run
+# anchor, pool policies and memory budgets vs the serial FIFO
+# baseline), and the incremental-update path (retract/reassert vs
+# fresh load, warm-engine reset, session updates vs from-scratch
+# re-interpretation, at the engine, spam and serve layers) — at every
+# level (rete scripts, ops5 engines, geometry kernels, the scheduler,
+# the task-process pool, full-SPAM interpretations, the HTTP session
+# surface), under the race detector. These are the byte-identity
+# guarantees of docs/PERFORMANCE.md; everything here also runs as part
+# of `race`, but this target names the contract and fails fast on it.
 oracle:
 	$(GO) test -race \
-		-run 'Differential|Template|Concurrent|MatcherToggles|VariantCache' \
+		-run 'Differential|Template|Concurrent|MatcherToggles|VariantCache|DecompositionIdentity' \
 		./internal/rete/ ./internal/ops5/ ./internal/geom/ ./internal/spam/ \
 		./internal/tlp/ ./internal/machine/ ./internal/serve/ ./internal/cluster/
 
@@ -161,7 +162,25 @@ cluster-smoke:
 	$(GO) run ./cmd/spamrun -dataset DC -scale 0.4 -workers 2 \
 		-cluster-workers 2 -cluster-check -cluster-wire-v1
 
+# cluster-stress repeats the cluster tests that exercise the most
+# worker-side concurrency — two local executors per worker process
+# under several run configurations — five times over. A worker-side
+# data race kills the worker process rather than failing a test
+# directly, so one clean run proves little; repetition does.
+cluster-stress:
+	$(GO) test -count=5 \
+		-run 'TestDifferentialClusterInterpret|TestClusterWireV1Compat|TestClusterChunkEviction' \
+		./internal/cluster/
+
+# perfbench-check vets and tests the end-to-end benchmark (perfbench/,
+# a Go module of its own that `go build ./...` never reaches), so an
+# API change in spam, serve, cluster or tlp cannot silently break it.
+# Its tests include TestSmoke's stored per-phase fingerprints.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test -count=1 ./...
+
 # check is the full verification gate: the tier-1 build and tests,
-# static analysis, the differential oracles, and the race detector
-# over every package.
-check: build test vet oracle race
+# static analysis, the differential oracles, the race detector over
+# every package, the cluster stress leg and the benchmark module.
+check: build test vet oracle race cluster-stress perfbench-check

@@ -246,12 +246,11 @@ func (s *Suite) clusterRecovery() (ClusterRecovery, error) {
 	}
 
 	// The exactly-once witness: a crash-free in-process run of the
-	// same dataset defines the expected result population. With
-	// re-entry, task IDs legitimately repeat across an LCC phase's
-	// passes, so ID-set uniqueness is not the invariant — per-phase
-	// multiset equality with the reference is. A lost merge removes a
-	// result from the multiset; a duplicated merge adds one; either
-	// breaks the equality.
+	// same dataset defines the expected result population: per-phase
+	// multiset equality with the reference. Task IDs are unique within
+	// a phase (re-entry tasks key under "lccr"), so every count is 0
+	// or 1; a lost merge removes a result from the multiset, a
+	// duplicated merge adds one, and either breaks the equality.
 	ref, err := d.Interpret(spam.InterpretOptions{Workers: procs, ReEntry: true})
 	if err != nil {
 		return ClusterRecovery{}, err

@@ -75,6 +75,9 @@ type worker struct {
 	dec *DecTab
 	enc *EncTab
 
+	// mu guards datasets and pools: the read loop registers datasets
+	// while executors look them up, and executors create pools lazily.
+	mu       sync.Mutex
 	datasets map[string]*spam.Dataset
 	// pools caches one tlp.Pool per distinct RunConfig. Pools carry the
 	// retry/quarantine machinery and the shared memory gate, so tasks
@@ -255,7 +258,10 @@ func decodeJSON(payload []byte, v interface{}) error {
 // Generation is deterministic, so the result is byte-identical to the
 // coordinator's copy.
 func (w *worker) addDataset(spec DatasetSpec) error {
-	if _, ok := w.datasets[spec.Name]; ok {
+	w.mu.Lock()
+	_, ok := w.datasets[spec.Name]
+	w.mu.Unlock()
+	if ok {
 		return nil
 	}
 	var (
@@ -273,13 +279,17 @@ func (w *worker) addDataset(spec DatasetSpec) error {
 	if err != nil {
 		return fmt.Errorf("cluster: dataset %q: %w", spec.Name, err)
 	}
+	w.mu.Lock()
 	w.datasets[spec.Name] = d
+	w.mu.Unlock()
 	return nil
 }
 
 // poolFor returns (building if needed) the local pool matching a
 // run's configuration.
 func (w *worker) poolFor(cfg RunConfig) *tlp.Pool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if p, ok := w.pools[cfg]; ok {
 		return p
 	}
@@ -323,7 +333,9 @@ func (w *worker) runTask(idx int, m *TaskMsg) {
 // Result for the wire.
 func (w *worker) execute(idx int, m *TaskMsg) *ResultMsg {
 	out := &ResultMsg{RunID: m.RunID, Seq: m.Seq, TaskID: m.ID, Worker: idx, Attempts: m.StartAttempt, Spawned: m.Spawned}
+	w.mu.Lock()
 	d, ok := w.datasets[m.Spec.Dataset]
+	w.mu.Unlock()
 	if !ok {
 		out.Err = &WireError{Msg: fmt.Sprintf("cluster: task %s: dataset %q not registered", m.ID, m.Spec.Dataset)}
 		out.AttemptErrs = []WireError{*out.Err}

@@ -20,8 +20,8 @@ const gridMinFragments = 24
 // candidates pass through the identical ID/type/bbox filters in the
 // identical pool order.
 //
-// The index is used single-threaded: unitsForLevel builds it and
-// issues every query before any task closure runs, so it needs no
+// The index is used single-threaded: poolQuery builds it and the
+// decomposition issues every query before any task closure runs, so it needs no
 // locking and its query scratch state is reusable.
 type fragIndex struct {
 	store      *RegionStore
@@ -50,8 +50,8 @@ type fragIndex struct {
 
 // buildFragIndex indexes a fragment pool, or returns nil when the
 // scan path should be used (uncached-geo mode, or a pool too small to
-// amortize construction). A nil index is valid: partnersFor falls
-// back to NearbyFragments.
+// amortize construction). A nil index is valid: poolQuery falls back
+// to NearbyFragments.
 func buildFragIndex(store *RegionStore, all []*Fragment) *fragIndex {
 	if uncachedGeo.Load() || len(all) < gridMinFragments {
 		return nil

@@ -263,6 +263,43 @@ func phaseStats(name string, results []*tlp.Result, hypotheses int) PhaseRun {
 	return p
 }
 
+// withDefaults fills the zero-valued decomposition and pool knobs: one
+// task process, Level 3, three regions per RTF task.
+func (opt InterpretOptions) withDefaults() InterpretOptions {
+	if opt.Workers < 1 {
+		opt.Workers = 1
+	}
+	if opt.Level == 0 {
+		opt.Level = Level3
+	}
+	if opt.RTFBatch < 1 {
+		opt.RTFBatch = 3
+	}
+	return opt
+}
+
+// newPoolRunner builds the private pool of a run without a Runner. The
+// builder count follows the machine, not opt.Workers: engine
+// construction happens outside the simulated clock, so even the
+// paper's one-task-process baseline may overlap it across every
+// available CPU.
+func newPoolRunner(opt InterpretOptions) *poolRunner {
+	return &poolRunner{
+		pool: &tlp.Pool{
+			Workers:      opt.Workers,
+			Policy:       opt.Sched,
+			MemBudget:    opt.MemBudget,
+			Faults:       opt.Faults,
+			MaxRetries:   opt.MaxRetries,
+			TaskTimeout:  opt.TaskTimeout,
+			RetryBackoff: opt.RetryBackoff,
+			FiringBudget: opt.FiringBudget,
+		},
+		prebuild: opt.Prebuild,
+		builders: max(opt.Workers, runtime.GOMAXPROCS(0)),
+	}
+}
+
 // Interpret runs the full four-phase SPAM interpretation of the
 // dataset: RTF → LCC → FA (with optional LCC re-entry) → MODEL.
 func (d *Dataset) Interpret(opt InterpretOptions) (*Interpretation, error) {
@@ -276,155 +313,125 @@ func (d *Dataset) Interpret(opt InterpretOptions) (*Interpretation, error) {
 // background context, no Runner and Degraded off, it is byte-for-byte
 // the classic Interpret.
 func (d *Dataset) InterpretContext(ctx context.Context, opt InterpretOptions) (*Interpretation, error) {
-	if opt.Workers < 1 {
-		opt.Workers = 1
-	}
-	if opt.Level == 0 {
-		opt.Level = Level3
-	}
-	if opt.RTFBatch < 1 {
-		opt.RTFBatch = 3
-	}
+	opt = opt.withDefaults()
 	runner := opt.Runner
 	if runner == nil {
-		// The builder count follows the machine, not opt.Workers: engine
-		// construction happens outside the simulated clock, so even the
-		// paper's one-task-process baseline may overlap it across every
-		// available CPU.
-		builders := opt.Workers
-		if g := runtime.GOMAXPROCS(0); g > builders {
-			builders = g
-		}
-		runner = &poolRunner{
-			pool: &tlp.Pool{
-				Workers:      opt.Workers,
-				Policy:       opt.Sched,
-				MemBudget:    opt.MemBudget,
-				Faults:       opt.Faults,
-				MaxRetries:   opt.MaxRetries,
-				TaskTimeout:  opt.TaskTimeout,
-				RetryBackoff: opt.RetryBackoff,
-				FiringBudget: opt.FiringBudget,
-			},
-			prebuild: opt.Prebuild,
-			builders: builders,
-		}
+		runner = newPoolRunner(opt)
 	}
+	return d.interpret(ctx, opt, runner, nil)
+}
+
+// interpret is the one phase sequence behind every interpretation:
+// RTF → LCC → FA → (FA→LCC re-entry) → MODEL over the dataset's
+// current scene, each phase's queue drained by the runner. A Session
+// passes its per-run hook; a one-shot run passes nil, so it queries a
+// transient partner index, runs every task with lazily assembled seeds
+// and releases engines once their outputs are extracted.
+func (d *Dataset) interpret(ctx context.Context, opt InterpretOptions, runner Runner, hook *sessionRun) (*Interpretation, error) {
 	in := &Interpretation{Dataset: d}
 	if pr, ok := runner.(*poolRunner); ok {
 		defer func() { in.MemSched = pr.pool.MemSched() }()
 	}
-	runPhase := func(tasks []*tlp.Task) ([]*tlp.Result, error) {
-		// A degraded upstream phase may leave a later phase with no
-		// tasks at all; that is an empty phase, not an error.
-		if len(tasks) == 0 {
-			return nil, nil
+	// runPhase runs and settles one queue; an aborted phase is recorded
+	// under the PhaseRun name stat.
+	runPhase := func(name, stat string, specs []taskSpec) ([]*tlp.Result, error) {
+		var results []*tlp.Result
+		var err error
+		switch {
+		case len(specs) == 0:
+			// A degraded upstream phase may leave a later phase with no
+			// tasks at all; that is an empty phase, not an error.
+		case hook != nil:
+			results, err = hook.run(ctx, runner, specs)
+		default:
+			results, err = runner.RunTasks(ctx, specTasks(specs, d.Store, opt.Capture))
 		}
-		return runner.RunTasks(ctx, tasks)
+		if err != nil {
+			return nil, fmt.Errorf("spam: %s: %w", name, err)
+		}
+		if err := settlePhase(ctx, in, opt.Degraded, name, results); err != nil {
+			in.Phases = append(in.Phases, phaseStats(stat, results, 0))
+			return nil, err
+		}
+		return results, nil
 	}
-	endPhase := func(name string, results []*tlp.Result) error {
-		return settlePhase(ctx, in, opt.Degraded, name, results)
+	release := func(results []*tlp.Result) {
+		if hook == nil {
+			releaseEngines(results)
+		}
 	}
 
 	// Phase 1: RTF.
-	rtfTasks := BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, opt.RTFBatch, opt.Capture)
-	rtfResults, err := runPhase(rtfTasks)
+	rtf, err := runPhase("RTF", "RTF", rtfSpecs(d.Store, d.Progs.RTF, opt.RTFBatch))
 	if err != nil {
-		return in, fmt.Errorf("spam: RTF: %w", err)
-	}
-	if err := endPhase("RTF", rtfResults); err != nil {
-		in.Phases = append(in.Phases, phaseStats("RTF", rtfResults, 0))
 		return in, err
 	}
-	in.Fragments = ExtractFragments(rtfResults)
-	releaseEngines(rtfResults)
-	in.Phases = append(in.Phases, phaseStats("RTF", rtfResults, len(in.Fragments)))
+	in.Fragments = ExtractFragments(rtf)
+	release(rtf)
+	in.Phases = append(in.Phases, phaseStats("RTF", rtf, len(in.Fragments)))
 
 	// Phase 2: LCC.
-	lccTasks := BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, in.Fragments, opt.Level, opt.Capture)
-	lccResults, err := runPhase(lccTasks)
-	if err != nil {
-		return in, fmt.Errorf("spam: LCC: %w", err)
+	var query partnerQuery
+	if hook != nil {
+		query = hook.partners(in.Fragments)
+	} else {
+		query = poolQuery(d.Store, in.Fragments)
 	}
-	if err := endPhase("LCC", lccResults); err != nil {
-		in.Phases = append(in.Phases, phaseStats("LCC", lccResults, 0))
+	lcc, err := runPhase("LCC", "LCC", lccSpecs(d.KB, d.Store, d.Progs.LCC, in.Fragments, query, opt.Level, false))
+	if err != nil {
 		return in, err
 	}
-	in.Pairs, in.Outcomes = ExtractLCC(lccResults)
-	releaseEngines(lccResults)
+	in.Pairs, in.Outcomes = ExtractLCC(lcc)
+	release(lcc)
 
 	// Phase 3: FA.
-	faTasks := BuildFATasks(d.KB, d.Store, d.Progs.FA, in.Fragments, in.Pairs, in.Outcomes, opt.Capture)
-	var faResults []*tlp.Result
-	if len(faTasks) > 0 {
-		faResults, err = runPhase(faTasks)
-		if err != nil {
-			return in, fmt.Errorf("spam: FA: %w", err)
-		}
-		if err := endPhase("FA", faResults); err != nil {
-			in.Phases = append(in.Phases, phaseStats("FA", faResults, 0))
-			return in, err
-		}
+	fa, err := runPhase("FA", "FA", faSpecs(d.KB, d.Store, d.Progs.FA, in.Fragments, in.Pairs, in.Outcomes))
+	if err != nil {
+		return in, err
 	}
-	in.FAs, in.Predictions = ExtractFA(faResults)
-	releaseEngines(faResults)
+	in.FAs, in.Predictions = ExtractFA(fa)
+	release(fa)
 
 	// FA→LCC re-entry: predictions hypothesize fragments on regions
-	// that RTF left unclassified; LCC re-checks them. Their cost is
-	// attributed to the LCC phase, where the paper accounts it.
+	// that RTF left unclassified; LCC re-checks only those, against the
+	// full fragment pool. Their cost is attributed to the LCC phase,
+	// where the paper accounts it. The pool holds fragments a session's
+	// persistent grid does not, so partners come from a transient index.
 	if opt.ReEntry && len(in.Predictions) > 0 {
-		extra := d.reEntryFragments(in)
-		if len(extra) > 0 {
-			// Only the re-entry objects are re-checked, against the full
-			// fragment pool.
-			pool2 := append(append([]*Fragment(nil), in.Fragments...), extra...)
-			reTasks := BuildLCCTasksFor(d.KB, d.Store, d.Progs.LCC, extra, pool2, opt.Level, opt.Capture)
-			// Re-entry tasks continue the LCC phase over fragments the
-			// main pass already shipped: mark them so the cluster
-			// runtime spawns them on the chunk-resident worker.
-			for _, t := range reTasks {
-				t.Continues = true
-			}
-			if len(reTasks) > 0 {
-				reResults, err := runPhase(reTasks)
+		if extra := d.reEntryFragments(in); len(extra) > 0 {
+			pool := append(append([]*Fragment(nil), in.Fragments...), extra...)
+			specs := lccSpecs(d.KB, d.Store, d.Progs.LCC, extra, poolQuery(d.Store, pool), opt.Level, true)
+			if len(specs) > 0 {
+				re, err := runPhase("LCC re-entry", "LCC", specs)
 				if err != nil {
-					return in, fmt.Errorf("spam: LCC re-entry: %w", err)
-				}
-				if err := endPhase("LCC re-entry", reResults); err != nil {
-					in.Phases = append(in.Phases, phaseStats("LCC", reResults, 0))
 					return in, err
 				}
-				rePairs, reOuts := ExtractLCC(reResults)
-				releaseEngines(reResults)
+				rePairs, reOuts := ExtractLCC(re)
+				release(re)
 				in.Pairs = append(in.Pairs, rePairs...)
 				in.Outcomes = append(in.Outcomes, reOuts...)
 				in.Fragments = append(in.Fragments, extra...)
-				lccResults = append(lccResults, reResults...)
+				lcc = append(lcc, re...)
 			}
 		}
 	}
-	in.Phases = append(in.Phases, phaseStats("LCC", lccResults, countConsistent(in.Outcomes)))
-	in.Phases = append(in.Phases, phaseStats("FA", faResults, countClosed(in.FAs)))
+	in.Phases = append(in.Phases, phaseStats("LCC", lcc, countConsistent(in.Outcomes)))
+	in.Phases = append(in.Phases, phaseStats("FA", fa, countClosed(in.FAs)))
 
 	// Phase 4: MODEL.
-	modelTask := BuildModelTask(d.KB, d.Store, d.Progs.Model, in.Fragments, in.FAs, opt.Capture)
-	modelResults, err := runPhase([]*tlp.Task{modelTask})
+	model, err := runPhase("MODEL", "MODEL", []taskSpec{modelSpec(d.Store, d.Progs.Model, in.Fragments, in.FAs)})
 	if err != nil {
-		return in, fmt.Errorf("spam: MODEL: %w", err)
-	}
-	if err := endPhase("MODEL", modelResults); err != nil {
-		in.Phases = append(in.Phases, phaseStats("MODEL", modelResults, 0))
 		return in, err
 	}
 	// A degraded run whose single MODEL task failed still returns: the
 	// extractor sees no model WMEs and ModelFound stays false.
-	in.Model, in.ModelFound = ExtractModel(modelResults)
-	releaseEngines(modelResults)
+	in.Model, in.ModelFound = ExtractModel(model)
+	release(model)
 	nModels := 0
 	if in.ModelFound {
 		nModels = 1
 	}
-	in.Phases = append(in.Phases, phaseStats("MODEL", modelResults, nModels))
+	in.Phases = append(in.Phases, phaseStats("MODEL", model, nModels))
 	in.Completeness.Complete = in.Completeness.Failed == 0 && in.Completeness.Cancelled == 0
 	return in, nil
 }
@@ -433,7 +440,7 @@ func (d *Dataset) InterpretContext(ctx context.Context, opt InterpretOptions) (*
 // completeness accounting and decides whether the run continues:
 // cancellation always aborts; quarantined tasks abort unless the run
 // is degraded, in which case the phase's surviving outputs stand and
-// the loss is recorded. Shared between InterpretContext and Session.
+// the loss is recorded.
 func settlePhase(ctx context.Context, in *Interpretation, degraded bool, name string, results []*tlp.Result) error {
 	for _, r := range results {
 		if r == nil {

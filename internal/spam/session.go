@@ -3,16 +3,16 @@
 //
 // A Session holds a live interpretation of one scene — a private scene
 // clone, its RegionStore, a persistent fragment grid, and every phase
-// task's quiesced Rete engine — and folds scene deltas into it. The
-// decomposition is keyed stably and identically to the classic
-// builders (RTF position batches, LCC units by focal fragment and
-// constraint, FA tasks by seed fragment), so the same logical task
-// keeps its identity across updates — identical decomposition matters
-// because RTF classification is batch-composition-dependent
-// (rtf-align boosts pairs within a batch). On each run the session
-// reassembles every task's seed working memory, collapses each seed
-// to its rete.RouteDigest, appends the geometry epochs of the regions
-// the task's externals can read (geo-test booleans and fa-predict-area
+// task's quiesced Rete engine — and folds scene deltas into it. It runs
+// the same phase sequence and the same decomposition as a one-shot
+// interpretation (Dataset.interpret and the spec builders in tasks.go):
+// tasks are keyed by what they cover — RTF position batches, LCC units
+// by focal fragment (and constraint, and partner), FA tasks by seed
+// fragment — so the same logical task keeps its key across updates.
+// The session only adds a per-run hook (sessionRun). For each task it
+// assembles the seed working memory, collapses each seed to its
+// rete.RouteDigest, appends the geometry epochs of the regions the
+// task's externals can read (geo-test booleans and fa-predict-area
 // candidate scans depend on region geometry the seed rows don't
 // capture), and diffs the signature against the one the task last ran
 // with:
@@ -61,10 +61,10 @@ const diffInstrPerSeed = rete.CostAlphaScan
 
 // Session is a live, updatable interpretation of one scene.
 type Session struct {
-	ds   *Dataset // private: cloned scene, own RegionStore; shared KB/Progs
-	opt  InterpretOptions
-	pool *tlp.Pool // private runner when opt.Runner is nil; persists across updates
-	grid *liveGrid // session-persistent LCC partner index
+	ds     *Dataset // private: cloned scene, own RegionStore; shared KB/Progs
+	opt    InterpretOptions
+	runner Runner    // opt.Runner, or a private pool that persists across updates
+	grid   *liveGrid // session-persistent LCC partner index
 
 	tasks   map[string]*sessTask
 	last    *Interpretation
@@ -122,36 +122,20 @@ type UpdateReport struct {
 // Update per scene delta. The options are fixed for the session's
 // lifetime so the decomposition stays stable.
 func NewSession(ds *Dataset, opt InterpretOptions) *Session {
-	if opt.Workers < 1 {
-		opt.Workers = 1
-	}
-	if opt.Level == 0 {
-		opt.Level = Level3
-	}
-	if opt.RTFBatch < 1 {
-		opt.RTFBatch = 3
-	}
+	opt = opt.withDefaults()
 	// Prebuild overlaps first-run engine construction but is pointless
 	// (and would fight warm-engine reuse) on updates; sessions skip it.
 	opt.Prebuild = false
 	s := &Session{
-		ds:    NewDatasetWith(ds.Scene.Clone(), ds.KB, ds.Progs),
-		opt:   opt,
-		tasks: map[string]*sessTask{},
+		ds:     NewDatasetWith(ds.Scene.Clone(), ds.KB, ds.Progs),
+		opt:    opt,
+		runner: opt.Runner,
+		tasks:  map[string]*sessTask{},
 	}
-	if opt.Runner == nil {
+	if s.runner == nil {
 		// One pool for the session's lifetime: its workers, memory gate
 		// and throttle accounting span every update.
-		s.pool = &tlp.Pool{
-			Workers:      opt.Workers,
-			Policy:       opt.Sched,
-			MemBudget:    opt.MemBudget,
-			Faults:       opt.Faults,
-			MaxRetries:   opt.MaxRetries,
-			TaskTimeout:  opt.TaskTimeout,
-			RetryBackoff: opt.RetryBackoff,
-			FiringBudget: opt.FiringBudget,
-		}
+		s.runner = newPoolRunner(opt)
 	}
 	return s
 }
@@ -193,19 +177,151 @@ func (s *Session) Update(ctx context.Context, d *scene.Delta) (*Interpretation, 
 	return s.run(ctx, d.Size())
 }
 
-// taskSpec is one stable task of the current decomposition: its key,
-// its full seed working memory (already assembled, so the signature
-// can be diffed before deciding to run), and the engine-build inputs.
-type taskSpec struct {
-	key   string
-	label string
-	group string
-	est   float64
-	mem   float64
-	prog  *ops5.Program
-	seeds []ops5.Seed
-	geo   string // geometry-epoch signature component (geoSig)
-	geoN  int    // epoch entries in geo, for diff-cost accounting
+// run interprets the session's current scene state through the shared
+// phase sequence, then sweeps the tasks the run no longer enumerated.
+func (s *Session) run(ctx context.Context, deltaSize int) (*Interpretation, *UpdateReport, error) {
+	start := time.Now()
+	rep := &UpdateReport{Update: s.updates, DeltaSize: deltaSize}
+	for _, st := range s.tasks {
+		st.live = false
+	}
+	in, err := s.ds.interpret(ctx, s.opt, s.runner, &sessionRun{s: s, rep: rep})
+	for k, st := range s.tasks {
+		if !st.live {
+			delete(s.tasks, k)
+			rep.Dropped++
+		}
+	}
+	rep.UpdateInstr += rep.DiffInstr
+	rep.Wall = time.Since(start)
+	rep.Grid = s.grid.Stats()
+	rep.Geo = s.ds.Store.GeoStats()
+	if err == nil {
+		s.last = in
+	}
+	return in, rep, err
+}
+
+// sessionRun is what one session run adds to the shared phase
+// sequence: the session's persistent partner grid and its
+// signature-diffing task execution, accounted into the run's report.
+type sessionRun struct {
+	s   *Session
+	rep *UpdateReport
+}
+
+// partners refreshes the persistent grid to the new fragment pool and
+// queries it — the same candidate sets, in the same ascending-ID
+// order, as a one-shot run's transient index, or NearbyFragments' scan
+// while the pool is too small for a grid.
+func (r *sessionRun) partners(frags []*Fragment) partnerQuery {
+	s := r.s
+	if s.grid == nil {
+		s.grid = newLiveGrid(s.ds.Store, frags)
+	} else {
+		s.grid.refresh(frags)
+	}
+	return func(f *Fragment, c Constraint) []*Fragment {
+		if s.grid != nil {
+			return s.grid.query(f, c.Object, c.Radius)
+		}
+		return NearbyFragments(s.ds.Store, f, c.Object, frags, c.Radius)
+	}
+}
+
+// run diffs each spec's signature against the cached task state,
+// reuses unchanged tasks, and runs the changed/new remainder as one
+// queue through the session's runner (retaining the pool's retry,
+// quarantine and memory-gate semantics). Results come back in spec
+// order — a scheduling policy may permute the runner's — with engines
+// attached for extraction and warm reuse.
+func (r *sessionRun) run(ctx context.Context, runner Runner, specs []taskSpec) ([]*tlp.Result, error) {
+	s, rep := r.s, r.rep
+	results := make([]*tlp.Result, len(specs))
+	var tasks []*tlp.Task
+	var pending []int // spec index per submitted task
+	for i, sp := range specs {
+		seeds, err := sp.seeds()
+		if err != nil {
+			return nil, err
+		}
+		var regions []int
+		if sp.regions != nil {
+			regions = sp.regions()
+		}
+		geo, geoN := s.geoSig(regions)
+		rep.Tasks++
+		rep.SeedsDiffed += len(seeds) + geoN
+		rep.DiffInstr += float64(len(seeds)+geoN) * diffInstrPerSeed
+		st := s.tasks[sp.key]
+		if st != nil && st.live {
+			return nil, fmt.Errorf("spam: session: duplicate task key %s", sp.key)
+		}
+		// seedSig is a prefix code, so appending the epoch component
+		// keeps the combined signature collision-free.
+		sig := seedSig(seeds) + geo
+		if st != nil && st.sig == sig && st.res != nil && st.res.Err == nil {
+			st.live = true
+			results[i] = st.res
+			rep.Reused++
+			continue
+		}
+		// Changed or new: take the warm engine (if any) for a
+		// reset+reload; the cached result is dead either way.
+		var warm *ops5.Engine
+		if st != nil {
+			if st.res != nil {
+				warm = st.res.Engine
+				st.res = nil
+			}
+		} else {
+			st = &sessTask{}
+			s.tasks[sp.key] = st
+		}
+		if warm != nil {
+			rep.Rerun++
+		} else {
+			rep.Fresh++
+		}
+		st.sig = sig
+		st.live = true
+		t := sp.task(s.ds.Store, s.opt.Capture, func() ([]ops5.Seed, error) { return seeds, nil }, warm)
+		if s.updates > 0 {
+			// An updated scene is no longer one a cluster worker can
+			// regenerate from the dataset's parameters: keep its tasks
+			// local rather than ship them against the original scene.
+			t.Wire = nil
+		}
+		tasks = append(tasks, t)
+		pending = append(pending, i)
+	}
+	if len(tasks) == 0 {
+		return results, nil
+	}
+	rs, err := runner.RunTasks(ctx, tasks)
+	if err != nil {
+		return nil, err
+	}
+	// Results return in queue order, which a scheduling policy may
+	// permute; rejoin them to their specs by task ID.
+	byID := make(map[string]*tlp.Result, len(rs))
+	for _, res := range rs {
+		if res != nil {
+			byID[res.TaskID] = res
+		}
+	}
+	for _, i := range pending {
+		res := byID[specs[i].key]
+		results[i] = res
+		s.tasks[specs[i].key].res = res
+		if res != nil && res.Err == nil {
+			rep.UpdateInstr += res.Stats.TotalInstr()
+			if res.Log != nil {
+				rep.RetractedWMEs += res.Log.Mem.RetractedWMEs
+			}
+		}
+	}
+	return results, nil
 }
 
 // seedSig collapses a seed set to its order-sensitive digest
@@ -271,8 +387,7 @@ func lccUnitRegions(units []lccUnit) []int {
 // intersects the seed bbox expanded by faPredictRadius — the
 // external's exact candidate-set determination, so the signature
 // changes iff a prediction's candidate count could.
-func (s *Session) faNeighborhood(seedRegion int) []int {
-	st := s.ds.Store
+func faNeighborhood(st *RegionStore, seedRegion int) []int {
 	ids := []int{seedRegion}
 	d := st.Derived(seedRegion)
 	if d == nil {
@@ -288,514 +403,4 @@ func (s *Session) faNeighborhood(seedRegion int) []int {
 		}
 	}
 	return ids
-}
-
-// run executes the four-phase interpretation over the session's
-// current scene state, reusing cached tasks wherever the stable key's
-// seed signature is unchanged.
-func (s *Session) run(ctx context.Context, deltaSize int) (*Interpretation, *UpdateReport, error) {
-	start := time.Now()
-	rep := &UpdateReport{Update: s.updates, DeltaSize: deltaSize}
-	runner := s.opt.Runner
-	if runner == nil {
-		runner = &poolRunner{pool: s.pool}
-	}
-	in := &Interpretation{Dataset: s.ds}
-	if s.pool != nil {
-		defer func() { in.MemSched = s.pool.MemSched() }()
-	}
-	for _, st := range s.tasks {
-		st.live = false
-	}
-	finish := func() {
-		for k, st := range s.tasks {
-			if !st.live {
-				delete(s.tasks, k)
-				rep.Dropped++
-			}
-		}
-		rep.UpdateInstr += rep.DiffInstr
-		rep.Wall = time.Since(start)
-		rep.Grid = s.grid.Stats()
-		rep.Geo = s.ds.Store.GeoStats()
-	}
-
-	// Phase 1: RTF.
-	rtf, err := s.rtfSpecs()
-	if err != nil {
-		finish()
-		return in, rep, fmt.Errorf("spam: session RTF: %w", err)
-	}
-	rtfResults, err := s.runSpecs(ctx, runner, rep, rtf)
-	if err != nil {
-		finish()
-		return in, rep, fmt.Errorf("spam: session RTF: %w", err)
-	}
-	if err := settlePhase(ctx, in, s.opt.Degraded, "RTF", rtfResults); err != nil {
-		in.Phases = append(in.Phases, phaseStats("RTF", rtfResults, 0))
-		finish()
-		return in, rep, err
-	}
-	in.Fragments = ExtractFragments(rtfResults)
-	if s.grid == nil {
-		s.grid = newLiveGrid(s.ds.Store, in.Fragments)
-	} else {
-		s.grid.refresh(in.Fragments)
-	}
-	in.Phases = append(in.Phases, phaseStats("RTF", rtfResults, len(in.Fragments)))
-
-	// Phase 2: LCC, partner queries through the persistent grid.
-	lcc, err := s.lccSpecs(in.Fragments)
-	if err != nil {
-		finish()
-		return in, rep, fmt.Errorf("spam: session LCC: %w", err)
-	}
-	lccResults, err := s.runSpecs(ctx, runner, rep, lcc)
-	if err != nil {
-		finish()
-		return in, rep, fmt.Errorf("spam: session LCC: %w", err)
-	}
-	if err := settlePhase(ctx, in, s.opt.Degraded, "LCC", lccResults); err != nil {
-		in.Phases = append(in.Phases, phaseStats("LCC", lccResults, 0))
-		finish()
-		return in, rep, err
-	}
-	in.Pairs, in.Outcomes = ExtractLCC(lccResults)
-
-	// Phase 3: FA.
-	fa, err := s.faSpecs(in.Fragments, in.Pairs, in.Outcomes)
-	if err != nil {
-		finish()
-		return in, rep, fmt.Errorf("spam: session FA: %w", err)
-	}
-	faResults, err := s.runSpecs(ctx, runner, rep, fa)
-	if err != nil {
-		finish()
-		return in, rep, fmt.Errorf("spam: session FA: %w", err)
-	}
-	if len(faResults) > 0 {
-		if err := settlePhase(ctx, in, s.opt.Degraded, "FA", faResults); err != nil {
-			in.Phases = append(in.Phases, phaseStats("FA", faResults, 0))
-			finish()
-			return in, rep, err
-		}
-	}
-	in.FAs, in.Predictions = ExtractFA(faResults)
-
-	// FA→LCC re-entry, as in InterpretContext. Re-entry fragments get
-	// pool-dependent fresh IDs, so their tasks key under a distinct
-	// "lccr" namespace and simply re-run whenever the pool shifts.
-	if s.opt.ReEntry && len(in.Predictions) > 0 {
-		extra := s.ds.reEntryFragments(in)
-		if len(extra) > 0 {
-			pool2 := append(append([]*Fragment(nil), in.Fragments...), extra...)
-			re, err := s.reEntrySpecs(extra, pool2)
-			if err != nil {
-				finish()
-				return in, rep, fmt.Errorf("spam: session LCC re-entry: %w", err)
-			}
-			if len(re) > 0 {
-				reResults, err := s.runSpecs(ctx, runner, rep, re)
-				if err != nil {
-					finish()
-					return in, rep, fmt.Errorf("spam: session LCC re-entry: %w", err)
-				}
-				if err := settlePhase(ctx, in, s.opt.Degraded, "LCC re-entry", reResults); err != nil {
-					in.Phases = append(in.Phases, phaseStats("LCC", reResults, 0))
-					finish()
-					return in, rep, err
-				}
-				rePairs, reOuts := ExtractLCC(reResults)
-				in.Pairs = append(in.Pairs, rePairs...)
-				in.Outcomes = append(in.Outcomes, reOuts...)
-				in.Fragments = append(in.Fragments, extra...)
-				lccResults = append(lccResults, reResults...)
-			}
-		}
-	}
-	in.Phases = append(in.Phases, phaseStats("LCC", lccResults, countConsistent(in.Outcomes)))
-	in.Phases = append(in.Phases, phaseStats("FA", faResults, countClosed(in.FAs)))
-
-	// Phase 4: MODEL.
-	model, err := s.modelSpec(in.Fragments, in.FAs)
-	if err != nil {
-		finish()
-		return in, rep, fmt.Errorf("spam: session MODEL: %w", err)
-	}
-	modelResults, err := s.runSpecs(ctx, runner, rep, []taskSpec{model})
-	if err != nil {
-		finish()
-		return in, rep, fmt.Errorf("spam: session MODEL: %w", err)
-	}
-	if err := settlePhase(ctx, in, s.opt.Degraded, "MODEL", modelResults); err != nil {
-		in.Phases = append(in.Phases, phaseStats("MODEL", modelResults, 0))
-		finish()
-		return in, rep, err
-	}
-	in.Model, in.ModelFound = ExtractModel(modelResults)
-	nModels := 0
-	if in.ModelFound {
-		nModels = 1
-	}
-	in.Phases = append(in.Phases, phaseStats("MODEL", modelResults, nModels))
-	in.Completeness.Complete = in.Completeness.Failed == 0 && in.Completeness.Cancelled == 0
-	finish()
-	s.last = in
-	return in, rep, nil
-}
-
-// runSpecs diffs each spec's seed signature against the cached task
-// state, reuses unchanged tasks, and runs the changed/new remainder
-// as one queue through the session's runner (retaining the pool's
-// retry, quarantine and memory-gate semantics). Results come back in
-// spec order; engines stay attached for extraction and warm reuse.
-func (s *Session) runSpecs(ctx context.Context, runner Runner, rep *UpdateReport, specs []taskSpec) ([]*tlp.Result, error) {
-	results := make([]*tlp.Result, len(specs))
-	var tasks []*tlp.Task
-	var pending []int // spec index per submitted task
-	for i := range specs {
-		sp := &specs[i]
-		rep.Tasks++
-		rep.SeedsDiffed += len(sp.seeds) + sp.geoN
-		rep.DiffInstr += float64(len(sp.seeds)+sp.geoN) * diffInstrPerSeed
-		st := s.tasks[sp.key]
-		if st != nil && st.live {
-			return nil, fmt.Errorf("spam: session: duplicate task key %s", sp.key)
-		}
-		// seedSig is a prefix code, so appending the epoch component
-		// keeps the combined signature collision-free.
-		sig := seedSig(sp.seeds) + sp.geo
-		if st != nil && st.sig == sig && st.res != nil && st.res.Err == nil {
-			st.live = true
-			results[i] = st.res
-			rep.Reused++
-			continue
-		}
-		// Changed or new: take the warm engine (if any) for a
-		// reset+reload; the cached result is dead either way.
-		var warm *ops5.Engine
-		if st != nil {
-			if st.res != nil {
-				warm = st.res.Engine
-				st.res = nil
-			}
-		} else {
-			st = &sessTask{}
-			s.tasks[sp.key] = st
-		}
-		if warm != nil {
-			rep.Rerun++
-		} else {
-			rep.Fresh++
-		}
-		st.sig = sig
-		st.live = true
-		seeds := sp.seeds
-		prog := sp.prog
-		capture := s.opt.Capture
-		store := s.ds.Store
-		build := func(sc *ops5.Scratch) (*ops5.Engine, error) {
-			// The warm engine is consumed by the first attempt only: a
-			// retry after a failed attempt rebuilds from scratch, keeping
-			// re-execution idempotent even if the failure left the warm
-			// engine mid-operation.
-			if e := warm; e != nil {
-				warm = nil
-				if err := e.ResetForUpdate(); err != nil {
-					return nil, err
-				}
-				if err := e.AssertBatch(seeds); err != nil {
-					return nil, err
-				}
-				return e, nil
-			}
-			e, err := newTaskEngine(prog, capture, sc)
-			if err != nil {
-				return nil, err
-			}
-			store.Register(e)
-			if err := e.AssertBatch(seeds); err != nil {
-				return nil, err
-			}
-			return e, nil
-		}
-		tasks = append(tasks, &tlp.Task{
-			ID:        sp.key,
-			Label:     sp.label,
-			Group:     sp.group,
-			EstSize:   sp.est,
-			MemEst:    sp.mem,
-			Build:     func() (*ops5.Engine, error) { return build(nil) },
-			BuildWith: build,
-		})
-		pending = append(pending, i)
-	}
-	if len(tasks) == 0 {
-		return results, nil
-	}
-	rs, err := runner.RunTasks(ctx, tasks)
-	if err != nil {
-		return nil, err
-	}
-	// Results return in queue order, which a scheduling policy may
-	// permute; rejoin them to their specs by task ID.
-	byID := make(map[string]*tlp.Result, len(rs))
-	for _, r := range rs {
-		if r != nil {
-			byID[r.TaskID] = r
-		}
-	}
-	for _, i := range pending {
-		r := byID[specs[i].key]
-		results[i] = r
-		s.tasks[specs[i].key].res = r
-		if r != nil && r.Err == nil {
-			rep.UpdateInstr += r.Stats.TotalInstr()
-			if r.Log != nil {
-				rep.RetractedWMEs += r.Log.Mem.RetractedWMEs
-			}
-		}
-	}
-	return results, nil
-}
-
-// rtfSpecs enumerates the RTF tasks over the current scene with the
-// classic position batching (regions[start:end], batchID =
-// start/RTFBatch). The batching must be identical to BuildRTFTasks —
-// not merely stable — because RTF classification depends on batch
-// composition: rtf-align boosts fragment pairs within one task's
-// working memory, so grouping regions differently than a from-scratch
-// run changes confidences. The price is that a removal shifts every
-// later region's batch, re-running those batches; RTF is the cheapest
-// phase, so the churn-proportionality of the whole update survives.
-//
-// The batch regions' geometry epochs join the signature: the alignment
-// calls read region geometry that can move while the quantized
-// measurement rows stay identical.
-func (s *Session) rtfSpecs() ([]taskSpec, error) {
-	store := s.ds.Store
-	prog := s.ds.Progs.RTF
-	name := store.Scene().Name
-	regions := store.Scene().Regions
-	batchSize := s.opt.RTFBatch
-	var specs []taskSpec
-	for start := 0; start < len(regions); start += batchSize {
-		end := start + batchSize
-		if end > len(regions) {
-			end = len(regions)
-		}
-		regs := regions[start:end]
-		batchID := start / batchSize
-		seeds, err := rtfSeeds(prog, store, batchID, regs)
-		if err != nil {
-			return nil, err
-		}
-		ids := make([]int, len(regs))
-		for i, r := range regs {
-			ids[i] = r.ID
-		}
-		geo, geoN := s.geoSig(ids)
-		specs = append(specs, taskSpec{
-			key:   fmt.Sprintf("rtf-%s-%d", name, batchID),
-			label: fmt.Sprintf("RTF batch %d (%d regions)", batchID, len(regs)),
-			group: "rtf",
-			est:   float64(len(regs)),
-			mem:   taskMemEst(1 + 2*len(regs)),
-			prog:  prog,
-			seeds: seeds,
-			geo:   geo,
-			geoN:  geoN,
-		})
-	}
-	return specs, nil
-}
-
-// gridQuery is the session's partner query: the persistent grid when
-// one was built, NearbyFragments' scan otherwise — the same candidate
-// sets, in the same ascending-ID order, either way.
-func (s *Session) gridQuery(all []*Fragment) func(*Fragment, Constraint) []*Fragment {
-	return func(f *Fragment, c Constraint) []*Fragment {
-		if s.grid != nil {
-			return s.grid.query(f, c.Object, c.Radius)
-		}
-		return NearbyFragments(s.ds.Store, f, c.Object, all, c.Radius)
-	}
-}
-
-// lccSpecs enumerates the LCC tasks at the session's level with stable
-// keys: Level 4 by object class, Level 3 by focal fragment, Level 2 by
-// (focal, constraint), Level 1 by (focal, constraint, partner).
-func (s *Session) lccSpecs(frags []*Fragment) ([]taskSpec, error) {
-	units := unitsWith(s.ds.KB, frags, s.opt.Level, s.gridQuery(frags))
-	return s.lccUnitSpecs(units, "lcc")
-}
-
-// reEntrySpecs enumerates the FA→LCC re-entry tasks under the "lccr"
-// key namespace. The re-entry pool includes fragments the persistent
-// grid does not hold, so partner queries use the classic transient
-// index path.
-func (s *Session) reEntrySpecs(extra, pool []*Fragment) ([]taskSpec, error) {
-	units := unitsForLevel(s.ds.KB, s.ds.Store, extra, pool, s.opt.Level)
-	return s.lccUnitSpecs(units, "lccr")
-}
-
-// lccUnitSpecs converts LCC work units to stable-keyed task specs.
-func (s *Session) lccUnitSpecs(units []lccUnit, prefix string) ([]taskSpec, error) {
-	store := s.ds.Store
-	prog := s.ds.Progs.LCC
-	name := store.Scene().Name
-	level := s.opt.Level
-	if level == Level4 {
-		byClass := map[scene.Kind][]lccUnit{}
-		for _, u := range units {
-			byClass[u.focal.Type] = append(byClass[u.focal.Type], u)
-		}
-		var classes []scene.Kind
-		for k := range byClass {
-			classes = append(classes, k)
-		}
-		sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
-		specs := make([]taskSpec, 0, len(classes))
-		for _, k := range classes {
-			group := byClass[k]
-			est := 0
-			for _, u := range group {
-				est += u.expected
-			}
-			seeds, err := lccSeeds(prog, store, group)
-			if err != nil {
-				return nil, err
-			}
-			geo, geoN := s.geoSig(lccUnitRegions(group))
-			specs = append(specs, taskSpec{
-				key:   fmt.Sprintf("%s4-%s-%s", prefix, name, k),
-				label: fmt.Sprintf("LCC L4 class %s (%d objects)", k, len(group)),
-				group: string(k),
-				est:   float64(est),
-				mem:   taskMemEst(2*est + 3*len(group)),
-				prog:  prog,
-				seeds: seeds,
-				geo:   geo,
-				geoN:  geoN,
-			})
-		}
-		return specs, nil
-	}
-	specs := make([]taskSpec, 0, len(units))
-	for _, u := range units {
-		key := fmt.Sprintf("%s%d-%s-o%d", prefix, level, name, u.focal.ID)
-		switch level {
-		case Level2:
-			key += "-" + u.cid
-		case Level1:
-			pid := 0
-			for _, ps := range u.partners {
-				for _, p := range ps {
-					pid = p.ID
-				}
-			}
-			key += fmt.Sprintf("-%s-p%d", u.cid, pid)
-		}
-		seeds, err := lccSeeds(prog, store, []lccUnit{u})
-		if err != nil {
-			return nil, err
-		}
-		geo, geoN := s.geoSig(lccUnitRegions([]lccUnit{u}))
-		specs = append(specs, taskSpec{
-			key:   key,
-			label: fmt.Sprintf("LCC L%d object %d %s (%d checks)", level, u.focal.ID, u.cid, u.expected),
-			group: string(u.focal.Type),
-			est:   float64(u.expected),
-			mem:   taskMemEst(2*u.expected + 3),
-			prog:  prog,
-			seeds: seeds,
-			geo:   geo,
-			geoN:  geoN,
-		})
-	}
-	return specs, nil
-}
-
-// faSpecs enumerates the FA tasks — one per (spec, consistent seed
-// fragment), keyed by the seed fragment's ID as in BuildFATasks.
-func (s *Session) faSpecs(frags []*Fragment, pairs []ConsistentPair, outcomes []LCCOutcome) ([]taskSpec, error) {
-	store := s.ds.Store
-	prog := s.ds.Progs.FA
-	name := store.Scene().Name
-	byID := map[int]*Fragment{}
-	for _, f := range frags {
-		byID[f.ID] = f
-	}
-	consistent := map[int]bool{}
-	for _, o := range outcomes {
-		if o.Status == "consistent" {
-			consistent[o.Object] = true
-		}
-	}
-	pairsByObject := map[int][]ConsistentPair{}
-	for _, p := range pairs {
-		pairsByObject[p.Object] = append(pairsByObject[p.Object], p)
-	}
-	var specs []taskSpec
-	for _, spec := range s.ds.KB.FAs {
-		memberKinds := map[scene.Kind]bool{}
-		for _, m := range spec.Members {
-			memberKinds[m] = true
-		}
-		for _, f := range frags {
-			if f.Type != spec.Seed || !consistent[f.ID] {
-				continue
-			}
-			var members []*Fragment
-			var memberPairs []ConsistentPair
-			seen := map[int]bool{}
-			for _, p := range pairsByObject[f.ID] {
-				pf := byID[p.Partner]
-				if pf == nil || !memberKinds[pf.Type] {
-					continue
-				}
-				memberPairs = append(memberPairs, p)
-				if !seen[pf.ID] {
-					seen[pf.ID] = true
-					members = append(members, pf)
-				}
-			}
-			seeds, err := faSeeds(prog, store, f, members, memberPairs, spec.Type)
-			if err != nil {
-				return nil, err
-			}
-			geo, geoN := s.geoSig(s.faNeighborhood(f.RegionID))
-			specs = append(specs, taskSpec{
-				key:   fmt.Sprintf("fa-%s-%s-%d", name, spec.Type, f.ID),
-				label: fmt.Sprintf("FA %s seed %d (%d members)", spec.Type, f.ID, len(members)),
-				group: "fa-" + string(spec.Type),
-				est:   float64(len(members) + 1),
-				mem:   taskMemEst(len(members) + len(memberPairs) + 2),
-				prog:  prog,
-				seeds: seeds,
-				geo:   geo,
-				geoN:  geoN,
-			})
-		}
-	}
-	return specs, nil
-}
-
-// modelSpec builds the single MODEL task spec.
-func (s *Session) modelSpec(frags []*Fragment, fas []FunctionalArea) (taskSpec, error) {
-	store := s.ds.Store
-	prog := s.ds.Progs.Model
-	seeds, err := modelSeeds(prog, store, frags, fas)
-	if err != nil {
-		return taskSpec{}, err
-	}
-	return taskSpec{
-		key:   fmt.Sprintf("model-%s", store.Scene().Name),
-		label: fmt.Sprintf("MODEL (%d functional areas)", len(fas)),
-		group: "model",
-		est:   float64(len(fas) + 1),
-		mem:   taskMemEst(2*len(fas) + 1),
-		prog:  prog,
-		seeds: seeds,
-	}, nil
 }

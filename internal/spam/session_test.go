@@ -3,6 +3,7 @@ package spam
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"spampsm/internal/scene"
@@ -221,4 +222,108 @@ func TestSessionLiveGridConsistency(t *testing.T) {
 	if gs.Retained <= gs.Reinserted+gs.Removed+gs.Added {
 		t.Errorf("grid churned more than it retained: %+v", gs)
 	}
+}
+
+// scaledAirport builds one of the three airport scenes at reduced
+// scale.
+func scaledAirport(t testing.TB, name string, scale float64) *Dataset {
+	t.Helper()
+	p := map[string]scene.Params{"SF": scene.SF, "DC": scene.DC, "MOFF": scene.MOFF}[name].Scale(scale)
+	p.Name = name
+	d, err := NewDataset(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// taskIDs lists a phase's task IDs in result order.
+func taskIDs(p PhaseRun) []string {
+	ids := make([]string, len(p.Results))
+	for i, r := range p.Results {
+		ids[i] = r.TaskID
+	}
+	return ids
+}
+
+// TestDecompositionIdentity pins the single decomposition: a one-shot
+// interpretation and a session's first run enumerate the same tasks
+// under the same IDs in the same order, and charge the same per-phase
+// tasks, firings and simulated instructions, for every scene, every
+// LCC level, with and without FA→LCC re-entry.
+func TestDecompositionIdentity(t *testing.T) {
+	reEntryTasks := 0
+	for _, name := range []string{"SF", "DC", "MOFF"} {
+		d := scaledAirport(t, name, 0.3)
+		for _, level := range []Level{Level1, Level2, Level3, Level4} {
+			for _, reEntry := range []bool{false, true} {
+				opt := InterpretOptions{Workers: 2, Level: level, ReEntry: reEntry}
+				oneShot, err := d.Interpret(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				first, _, err := NewSession(d, opt).Interpret(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(oneShot.Phases) != len(first.Phases) {
+					t.Fatalf("%s L%d re-entry=%v: %d phases one-shot, %d in the session",
+						name, level, reEntry, len(oneShot.Phases), len(first.Phases))
+				}
+				for i := range oneShot.Phases {
+					a, b := oneShot.Phases[i], first.Phases[i]
+					if ia, ib := taskIDs(a), taskIDs(b); !reflect.DeepEqual(ia, ib) {
+						t.Errorf("%s L%d re-entry=%v %s: task IDs differ:\none-shot %v\nsession  %v",
+							name, level, reEntry, a.Phase, ia, ib)
+					}
+					if a.Phase != b.Phase || a.Tasks != b.Tasks || a.Firings != b.Firings || a.Instr != b.Instr {
+						t.Errorf("%s L%d re-entry=%v: phase %s tasks/firings/instr %d/%d/%.0f one-shot, %s %d/%d/%.0f in the session",
+							name, level, reEntry, a.Phase, a.Tasks, a.Firings, a.Instr, b.Phase, b.Tasks, b.Firings, b.Instr)
+					}
+					for _, id := range taskIDs(a) {
+						if strings.HasPrefix(id, "lccr") {
+							reEntryTasks++
+						}
+					}
+				}
+			}
+		}
+	}
+	if reEntryTasks == 0 {
+		t.Error("no run produced an FA→LCC re-entry task: the re-entry half of the test is vacuous")
+	}
+}
+
+// FuzzSessionUpdate folds random churn into a session — seed, churn
+// fraction and number of updates drawn from the input — and requires
+// the updated interpretation to match a from-scratch interpretation
+// of the same scene after every update.
+func FuzzSessionUpdate(f *testing.F) {
+	f.Add(uint64(1), uint8(1), uint8(1))
+	f.Add(uint64(7), uint8(5), uint8(2))
+	f.Add(uint64(42), uint8(20), uint8(1))
+	f.Add(uint64(1000), uint8(49), uint8(3))
+	var base *Dataset
+	f.Fuzz(func(t *testing.T, seed uint64, pct, updates uint8) {
+		if base == nil {
+			base = scaledAirport(t, "DC", 0.3)
+		}
+		opt := InterpretOptions{Workers: 2, ReEntry: true}
+		sess := NewSession(base, opt)
+		if _, _, err := sess.Interpret(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		frac := float64(pct%50+1) / 100
+		for u := 0; u < int(updates%3)+1; u++ {
+			delta := sess.Scene().Churn(scene.DefaultChurn(seed+uint64(u), frac))
+			in, _, err := sess.Update(context.Background(), delta)
+			if err != nil {
+				t.Fatalf("update %d: %v", u, err)
+			}
+			if ref := fromScratch(t, base, sess.Scene(), opt); !SameOutputs(in, ref) {
+				t.Fatalf("update %d (seed %d, %.0f%% churn): session outputs differ from a from-scratch run",
+					u, seed+uint64(u), 100*frac)
+			}
+		}
+	})
 }

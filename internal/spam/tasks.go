@@ -116,15 +116,20 @@ func engineOpts(capture bool) []ops5.Option {
 	return opts
 }
 
-// newTaskEngine constructs one task engine, threading the worker's
-// allocation scratch (nil outside DropEngines pools) into the engine's
-// free lists.
-func newTaskEngine(prog *ops5.Program, capture bool, s *ops5.Scratch) (*ops5.Engine, error) {
+// newTaskEngine constructs one task engine with the store's externals
+// registered, threading the worker's allocation scratch (nil outside
+// DropEngines pools) into the engine's free lists.
+func newTaskEngine(store *RegionStore, prog *ops5.Program, capture bool, s *ops5.Scratch) (*ops5.Engine, error) {
 	opts := engineOpts(capture)
 	if s != nil {
 		opts = append(opts, ops5.WithScratch(s))
 	}
-	return ops5.NewEngine(prog, opts...)
+	e, err := ops5.NewEngine(prog, opts...)
+	if err != nil {
+		return nil, err
+	}
+	store.Register(e)
+	return e, nil
 }
 
 // seedSet accumulates a task's seed working memory in assertion order;
@@ -169,67 +174,149 @@ func (ss *seedSet) addFragment(f *Fragment) error {
 }
 
 // ---------------------------------------------------------------------------
-// RTF phase tasks
+// The decomposition
 
-// BuildRTFTasks decomposes the RTF phase: each task classifies one
-// batch of regions. The decomposition yields the paper's ~60-100 tasks
-// per dataset at roughly Level-2 granularity.
-func BuildRTFTasks(kb *KB, store *RegionStore, prog *ops5.Program, batchSize int, capture bool) []*tlp.Task {
-	if batchSize < 1 {
-		batchSize = 3
+// taskSpec is one task of the decomposition. Its key is stable: the
+// same logical task gets the same key in a one-shot run and in every
+// run of a session, which is how a session matches a task against the
+// state it last ran with. The key starts with the phase prefix ("rtf-",
+// "lcc<L>"/"lccr<L>", "fa-", "model-").
+type taskSpec struct {
+	key, label, group string
+	est, mem          float64
+	prog              *ops5.Program
+	phase             string // wire phase: rtf, lcc, fa or model
+	continues         bool   // LCC re-entry over fragments already shipped
+	// seeds assembles the task's seed working memory. A one-shot run
+	// calls it lazily, on the pool worker that builds the engine or
+	// ships the task, so decomposing a phase assembles no seeds.
+	seeds func() ([]ops5.Seed, error)
+	// regions names the regions whose geometry the task's externals can
+	// read beyond its seed rows; only a session's signature reads it.
+	regions func() []int
+}
+
+// extractClasses names the working-memory classes each phase's result
+// extraction reads — all a cluster worker ships back.
+var extractClasses = map[string][]string{
+	"rtf":   {"fragment"},
+	"lcc":   {"check", "lcc-result"},
+	"fa":    {"fa", "prediction"},
+	"model": {"model"},
+}
+
+// task turns a spec into a pool task. seeds supplies the seed working
+// memory whenever the engine is built or the task shipped: the spec's
+// own lazy assembly, or a session's already-diffed set. warm, when
+// non-nil, is a retained engine that the first attempt resets and
+// reloads instead of building a fresh one. A retry rebuilds from
+// scratch, keeping re-execution idempotent even if the failed attempt
+// left the warm engine mid-operation.
+func (sp taskSpec) task(store *RegionStore, capture bool, seeds func() ([]ops5.Seed, error), warm *ops5.Engine) *tlp.Task {
+	build := func(sc *ops5.Scratch) (*ops5.Engine, error) {
+		var e *ops5.Engine
+		if warm != nil {
+			e, warm = warm, nil
+			if err := e.ResetForUpdate(); err != nil {
+				return nil, err
+			}
+		} else {
+			var err error
+			if e, err = newTaskEngine(store, sp.prog, capture, sc); err != nil {
+				return nil, err
+			}
+		}
+		ss, err := seeds()
+		if err != nil {
+			return nil, err
+		}
+		if err := e.AssertBatch(ss); err != nil {
+			return nil, err
+		}
+		return e, nil
 	}
-	regions := store.Scene().Regions
-	var tasks []*tlp.Task
-	for start := 0; start < len(regions); start += batchSize {
-		end := start + batchSize
-		if end > len(regions) {
-			end = len(regions)
-		}
-		batch := regions[start:end]
-		batchID := start / batchSize
-		batchCopy := append([]*scene.Region(nil), batch...)
-		build := func(s *ops5.Scratch) (*ops5.Engine, error) {
-			e, err := newTaskEngine(prog, capture, s)
+	name := store.Scene().Name
+	return &tlp.Task{
+		ID:        sp.key,
+		Label:     sp.label,
+		Group:     sp.group,
+		EstSize:   sp.est,
+		MemEst:    sp.mem,
+		Build:     func() (*ops5.Engine, error) { return build(nil) },
+		BuildWith: build,
+		Wire: func() (*tlp.WireSpec, error) {
+			ss, err := seeds()
 			if err != nil {
 				return nil, err
 			}
-			store.Register(e)
-			seeds, err := rtfSeeds(prog, store, batchID, batchCopy)
-			if err != nil {
-				return nil, err
-			}
-			if err := e.AssertBatch(seeds); err != nil {
-				return nil, err
-			}
-			return e, nil
-		}
-		tasks = append(tasks, &tlp.Task{
-			ID:        fmt.Sprintf("rtf-%s-%d", store.Scene().Name, batchID),
-			Label:     fmt.Sprintf("RTF batch %d (%d regions)", batchID, len(batchCopy)),
-			Group:     "rtf",
-			EstSize:   float64(len(batchCopy)),
-			MemEst:    taskMemEst(1 + 2*len(batchCopy)),
-			Build:     func() (*ops5.Engine, error) { return build(nil) },
-			BuildWith: build,
-			Wire: func() (*tlp.WireSpec, error) {
-				seeds, err := rtfSeeds(prog, store, batchID, batchCopy)
-				if err != nil {
-					return nil, err
-				}
-				return &tlp.WireSpec{
-					Dataset: store.Scene().Name, Phase: "rtf",
-					Seeds: seeds, Extract: []string{"fragment"},
-				}, nil
-			},
-		})
+			return &tlp.WireSpec{Dataset: name, Phase: sp.phase, Seeds: ss, Extract: extractClasses[sp.phase]}, nil
+		},
+		Continues: sp.continues,
+	}
+}
+
+// specTasks turns specs into pool tasks that assemble their seeds
+// lazily: the uncached path of a one-shot run.
+func specTasks(specs []taskSpec, store *RegionStore, capture bool) []*tlp.Task {
+	tasks := make([]*tlp.Task, len(specs))
+	for i, sp := range specs {
+		tasks[i] = sp.task(store, capture, sp.seeds, nil)
 	}
 	return tasks
 }
 
+// ---------------------------------------------------------------------------
+// RTF phase tasks
+
+// rtfSpecs decomposes the RTF phase: each task classifies one batch of
+// regions, taken in scene order (batchID = start/batchSize). This
+// yields the paper's ~60-100 tasks per dataset at roughly Level-2
+// granularity. Position batching is deliberate: RTF classification
+// depends on batch composition (rtf-align boosts fragment pairs within
+// one task's working memory), so every run must batch the same way.
+// A session pays for it when a removal shifts every later region's
+// batch; RTF is the cheapest phase, so updates stay proportional to
+// churn. The alignment calls read region geometry that can move while
+// the quantized measurement rows stay identical, hence regions.
+func rtfSpecs(store *RegionStore, prog *ops5.Program, batchSize int) []taskSpec {
+	if batchSize < 1 {
+		batchSize = 3
+	}
+	regions := store.Scene().Regions
+	name := store.Scene().Name
+	var specs []taskSpec
+	for start := 0; start < len(regions); start += batchSize {
+		batch := append([]*scene.Region(nil), regions[start:min(start+batchSize, len(regions))]...)
+		batchID := start / batchSize
+		specs = append(specs, taskSpec{
+			key:   fmt.Sprintf("rtf-%s-%d", name, batchID),
+			label: fmt.Sprintf("RTF batch %d (%d regions)", batchID, len(batch)),
+			group: "rtf",
+			est:   float64(len(batch)),
+			mem:   taskMemEst(1 + 2*len(batch)),
+			prog:  prog,
+			phase: "rtf",
+			seeds: func() ([]ops5.Seed, error) { return rtfSeeds(prog, store, batchID, batch) },
+			regions: func() []int {
+				ids := make([]int, len(batch))
+				for i, r := range batch {
+					ids[i] = r.ID
+				}
+				return ids
+			},
+		})
+	}
+	return specs
+}
+
+// BuildRTFTasks returns the RTF phase's task queue (see rtfSpecs).
+func BuildRTFTasks(kb *KB, store *RegionStore, prog *ops5.Program, batchSize int, capture bool) []*tlp.Task {
+	return specTasks(rtfSpecs(store, prog, batchSize), store, capture)
+}
+
 // rtfSeeds assembles one RTF task's seed working memory — the task
 // control row plus a measured-region row per batch member, in
-// assertion order. Shared between the classic task builder and the
-// incremental session, so both load byte-identical seed sets.
+// assertion order.
 func rtfSeeds(prog *ops5.Program, store *RegionStore, batchID int, regions []*scene.Region) ([]ops5.Seed, error) {
 	ss := seedSet{prog: prog, store: store}
 	if err := ss.add("rtf-task", map[string]symtab.Value{
@@ -282,35 +369,32 @@ func ExtractFragments(results []*tlp.Result) []*Fragment {
 // lccUnit is one (focal, constraint-subset) work assignment.
 type lccUnit struct {
 	focal    *Fragment
-	cid      string // "" means all constraints of the class
+	cid      string // "all" means all constraints of the class
 	partners map[string][]*Fragment
 	expected int
 }
 
-// partnersFor computes the candidate partner set of one constraint,
-// through the grid index when one was built for the pool.
-func partnersFor(store *RegionStore, ix *fragIndex, focal *Fragment, c Constraint, all []*Fragment) []*Fragment {
-	if ix != nil {
-		return ix.query(focal, c.Object, c.Radius)
-	}
-	return NearbyFragments(store, focal, c.Object, all, c.Radius)
-}
+// partnerQuery returns the candidate partners of one focal fragment
+// under one constraint, in ascending fragment-ID order.
+type partnerQuery func(*Fragment, Constraint) []*Fragment
 
-// unitsForLevel enumerates the work units of a decomposition level.
-// focals are the objects to check; all is the candidate partner pool,
-// indexed once here so level enumeration stops scanning every
-// fragment per constraint.
-func unitsForLevel(kb *KB, store *RegionStore, focals, all []*Fragment, level Level) []lccUnit {
+// poolQuery is the transient partner query over one fragment pool: a
+// grid index built once here, or NearbyFragments' scan where the grid
+// does not pay (see buildFragIndex). A session queries its persistent
+// live grid instead; the candidate sets are the same.
+func poolQuery(store *RegionStore, all []*Fragment) partnerQuery {
 	ix := buildFragIndex(store, all)
-	return unitsWith(kb, focals, level, func(f *Fragment, c Constraint) []*Fragment {
-		return partnersFor(store, ix, f, c, all)
-	})
+	return func(f *Fragment, c Constraint) []*Fragment {
+		if ix != nil {
+			return ix.query(f, c.Object, c.Radius)
+		}
+		return NearbyFragments(store, f, c.Object, all, c.Radius)
+	}
 }
 
-// unitsWith enumerates the work units of a decomposition level with a
-// caller-supplied partner query — the transient per-build grid above,
-// or a Session's persistent live grid.
-func unitsWith(kb *KB, focals []*Fragment, level Level, query func(*Fragment, Constraint) []*Fragment) []lccUnit {
+// unitsWith enumerates the work units of a decomposition level over
+// the focal objects, with partners from the given query.
+func unitsWith(kb *KB, focals []*Fragment, level Level, query partnerQuery) []lccUnit {
 	var units []lccUnit
 	for _, f := range focals {
 		cons := kb.ConstraintsFor(f.Type)
@@ -350,28 +434,81 @@ func unitsWith(kb *KB, focals []*Fragment, level Level, query func(*Fragment, Co
 	return units
 }
 
-// buildLCCEngine loads one engine with a set of work units (several
-// units share an engine at Level 4).
-func buildLCCEngine(kb *KB, store *RegionStore, prog *ops5.Program, units []lccUnit, capture bool, s *ops5.Scratch) (*ops5.Engine, error) {
-	e, err := newTaskEngine(prog, capture, s)
-	if err != nil {
-		return nil, err
+// lccSpecs decomposes the LCC phase over the focal objects, with
+// partners from the given query, at the chosen level, keyed by what
+// the task checks: Level 4 by object class, Level 3 by
+// focal fragment, Level 2 by (focal, constraint), Level 1 by (focal,
+// constraint, partner). The same generated rule set serves every
+// level: the task's scope is its working memory. FA→LCC re-entry tasks
+// key under "lccr" — their fragments get pool-dependent fresh IDs —
+// and continue the LCC phase over fragments the main pass shipped.
+func lccSpecs(kb *KB, store *RegionStore, prog *ops5.Program, focals []*Fragment, query partnerQuery, level Level, reEntry bool) []taskSpec {
+	units := unitsWith(kb, focals, level, query)
+	name := store.Scene().Name
+	prefix := "lcc"
+	if reEntry {
+		prefix = "lccr"
 	}
-	store.Register(e)
-	seeds, err := lccSeeds(prog, store, units)
-	if err != nil {
-		return nil, err
+	spec := func(key, label, group string, est int, mem float64, us []lccUnit) taskSpec {
+		return taskSpec{
+			key: key, label: label, group: group,
+			est: float64(est), mem: mem,
+			prog: prog, phase: "lcc", continues: reEntry,
+			seeds:   func() ([]ops5.Seed, error) { return lccSeeds(prog, store, us) },
+			regions: func() []int { return lccUnitRegions(us) },
+		}
 	}
-	if err := e.AssertBatch(seeds); err != nil {
-		return nil, err
+	var specs []taskSpec
+	if level == Level4 {
+		// One task per object class. The scope WMEs keep each focal
+		// object's checks identical to its Level-3 task even though the
+		// class's objects share one working memory.
+		byClass := map[scene.Kind][]lccUnit{}
+		for _, u := range units {
+			byClass[u.focal.Type] = append(byClass[u.focal.Type], u)
+		}
+		var classes []scene.Kind
+		for k := range byClass {
+			classes = append(classes, k)
+		}
+		sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
+		for _, k := range classes {
+			group := byClass[k]
+			est := 0
+			for _, u := range group {
+				est += u.expected
+			}
+			specs = append(specs, spec(fmt.Sprintf("%s4-%s-%s", prefix, name, k),
+				fmt.Sprintf("LCC L4 class %s (%d objects)", k, len(group)),
+				string(k), est, taskMemEst(2*est+3*len(group)), group))
+		}
+		return specs
 	}
-	return e, nil
+	for _, u := range units {
+		key := fmt.Sprintf("%s%d-%s-o%d", prefix, level, name, u.focal.ID)
+		switch level {
+		case Level2:
+			key += "-" + u.cid
+		case Level1:
+			key += fmt.Sprintf("-%s-p%d", u.cid, u.partners[u.cid][0].ID)
+		}
+		specs = append(specs, spec(key,
+			fmt.Sprintf("LCC L%d object %d %s (%d checks)", level, u.focal.ID, u.cid, u.expected),
+			string(u.focal.Type), u.expected, taskMemEst(2*u.expected+3), []lccUnit{u}))
+	}
+	return specs
+}
+
+// BuildLCCTasks returns the LCC phase's task queue at the chosen level
+// over a fragment pool (see lccSpecs).
+func BuildLCCTasks(kb *KB, store *RegionStore, prog *ops5.Program, frags []*Fragment, level Level, capture bool) []*tlp.Task {
+	return specTasks(lccSpecs(kb, store, prog, frags, poolQuery(store, frags), level, false), store, capture)
 }
 
 // lccSeeds assembles the seed working memory of a set of LCC work
 // units, in assertion order: per unit, the (deduplicated) focal and
 // partner fragments with their scope triples, then the support and
-// task control rows. Shared between buildLCCEngine and the session.
+// task control rows.
 func lccSeeds(prog *ops5.Program, store *RegionStore, units []lccUnit) ([]ops5.Seed, error) {
 	ss := seedSet{prog: prog, store: store}
 	seen := map[int]bool{}
@@ -429,91 +566,6 @@ func lccSeeds(prog *ops5.Program, store *RegionStore, units []lccUnit) ([]ops5.S
 		}
 	}
 	return ss.seeds, nil
-}
-
-// BuildLCCTasks decomposes the LCC phase at the chosen level. The
-// same generated rule set serves every level: the task's scope is its
-// working memory.
-func BuildLCCTasks(kb *KB, store *RegionStore, prog *ops5.Program, frags []*Fragment, level Level, capture bool) []*tlp.Task {
-	return BuildLCCTasksFor(kb, store, prog, frags, frags, level, capture)
-}
-
-// BuildLCCTasksFor decomposes LCC for a subset of focal objects against
-// a larger partner pool — used by the FA→LCC re-entry, which re-checks
-// only the newly predicted fragments.
-func BuildLCCTasksFor(kb *KB, store *RegionStore, prog *ops5.Program, focals, all []*Fragment, level Level, capture bool) []*tlp.Task {
-	units := unitsForLevel(kb, store, focals, all, level)
-	name := store.Scene().Name
-	if level == Level4 {
-		// One task per object class. The scope WMEs keep each focal
-		// object's checks identical to its Level-3 task even though the
-		// class's objects share one working memory.
-		byClass := map[scene.Kind][]lccUnit{}
-		for _, u := range units {
-			byClass[u.focal.Type] = append(byClass[u.focal.Type], u)
-		}
-		var classes []scene.Kind
-		for k := range byClass {
-			classes = append(classes, k)
-		}
-		sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
-		var tasks []*tlp.Task
-		for _, k := range classes {
-			group := byClass[k]
-			est := 0
-			for _, u := range group {
-				est += u.expected
-			}
-			groupCopy := group
-			build := func(s *ops5.Scratch) (*ops5.Engine, error) {
-				return buildLCCEngine(kb, store, prog, groupCopy, capture, s)
-			}
-			tasks = append(tasks, &tlp.Task{
-				ID:        fmt.Sprintf("lcc4-%s-%s", name, k),
-				Label:     fmt.Sprintf("LCC L4 class %s (%d objects)", k, len(groupCopy)),
-				Group:     string(k),
-				EstSize:   float64(est),
-				MemEst:    taskMemEst(2*est + 3*len(groupCopy)),
-				Build:     func() (*ops5.Engine, error) { return build(nil) },
-				BuildWith: build,
-				Wire:      lccWire(prog, store, name, groupCopy),
-			})
-		}
-		return tasks
-	}
-	var tasks []*tlp.Task
-	for i, u := range units {
-		uc := u
-		build := func(s *ops5.Scratch) (*ops5.Engine, error) {
-			return buildLCCEngine(kb, store, prog, []lccUnit{uc}, capture, s)
-		}
-		tasks = append(tasks, &tlp.Task{
-			ID:        fmt.Sprintf("lcc%d-%s-%d", level, name, i),
-			Label:     fmt.Sprintf("LCC L%d object %d %s (%d checks)", level, uc.focal.ID, uc.cid, uc.expected),
-			Group:     string(uc.focal.Type),
-			EstSize:   float64(uc.expected),
-			MemEst:    taskMemEst(2*uc.expected + 3),
-			Build:     func() (*ops5.Engine, error) { return build(nil) },
-			BuildWith: build,
-			Wire:      lccWire(prog, store, name, []lccUnit{uc}),
-		})
-	}
-	return tasks
-}
-
-// lccWire builds the lazy wire description of one LCC task: the same
-// seed set its Build closure asserts, shipped for remote execution.
-func lccWire(prog *ops5.Program, store *RegionStore, name string, units []lccUnit) func() (*tlp.WireSpec, error) {
-	return func() (*tlp.WireSpec, error) {
-		seeds, err := lccSeeds(prog, store, units)
-		if err != nil {
-			return nil, err
-		}
-		return &tlp.WireSpec{
-			Dataset: name, Phase: "lcc",
-			Seeds: seeds, Extract: []string{"check", "lcc-result"},
-		}, nil
-	}
 }
 
 // ConsistentPair is one consistency record produced by LCC: focal
@@ -587,10 +639,12 @@ type Prediction struct {
 	Candidates int
 }
 
-// BuildFATasks decomposes the FA phase: one task per functional-area
-// seed (a consistent fragment of a seed class).
-func BuildFATasks(kb *KB, store *RegionStore, prog *ops5.Program, frags []*Fragment,
-	pairs []ConsistentPair, outcomes []LCCOutcome, capture bool) []*tlp.Task {
+// faSpecs decomposes the FA phase: one task per functional-area seed
+// (a consistent fragment of a seed class), keyed by the seed fragment.
+// The fa-predict-area scan reads the geometry of the seed's whole
+// neighbourhood, hence regions.
+func faSpecs(kb *KB, store *RegionStore, prog *ops5.Program, frags []*Fragment,
+	pairs []ConsistentPair, outcomes []LCCOutcome) []taskSpec {
 
 	byID := map[int]*Fragment{}
 	for _, f := range frags {
@@ -607,7 +661,8 @@ func BuildFATasks(kb *KB, store *RegionStore, prog *ops5.Program, frags []*Fragm
 		pairsByObject[p.Object] = append(pairsByObject[p.Object], p)
 	}
 
-	var tasks []*tlp.Task
+	name := store.Scene().Name
+	var specs []taskSpec
 	for _, spec := range kb.FAs {
 		memberKinds := map[scene.Kind]bool{}
 		for _, m := range spec.Members {
@@ -633,54 +688,34 @@ func BuildFATasks(kb *KB, store *RegionStore, prog *ops5.Program, frags []*Fragm
 					members = append(members, pf)
 				}
 			}
-			seed := f
-			specCopy := spec
-			membersCopy := members
-			pairsCopy := memberPairs
-			expected := len(members)
-			build := func(s *ops5.Scratch) (*ops5.Engine, error) {
-				e, err := newTaskEngine(prog, capture, s)
-				if err != nil {
-					return nil, err
-				}
-				store.Register(e)
-				seeds, err := faSeeds(prog, store, seed, membersCopy, pairsCopy, specCopy.Type)
-				if err != nil {
-					return nil, err
-				}
-				if err := e.AssertBatch(seeds); err != nil {
-					return nil, err
-				}
-				return e, nil
-			}
-			tasks = append(tasks, &tlp.Task{
-				ID:        fmt.Sprintf("fa-%s-%s-%d", store.Scene().Name, spec.Type, f.ID),
-				Label:     fmt.Sprintf("FA %s seed %d (%d members)", spec.Type, f.ID, expected),
-				Group:     "fa-" + string(spec.Type),
-				EstSize:   float64(expected + 1),
-				MemEst:    taskMemEst(expected + len(pairsCopy) + 2),
-				Build:     func() (*ops5.Engine, error) { return build(nil) },
-				BuildWith: build,
-				Wire: func() (*tlp.WireSpec, error) {
-					seeds, err := faSeeds(prog, store, seed, membersCopy, pairsCopy, specCopy.Type)
-					if err != nil {
-						return nil, err
-					}
-					return &tlp.WireSpec{
-						Dataset: store.Scene().Name, Phase: "fa",
-						Seeds: seeds, Extract: []string{"fa", "prediction"},
-					}, nil
+			seed, faType := f, spec.Type
+			specs = append(specs, taskSpec{
+				key:   fmt.Sprintf("fa-%s-%s-%d", name, faType, f.ID),
+				label: fmt.Sprintf("FA %s seed %d (%d members)", faType, f.ID, len(members)),
+				group: "fa-" + string(faType),
+				est:   float64(len(members) + 1),
+				mem:   taskMemEst(len(members) + len(memberPairs) + 2),
+				prog:  prog,
+				phase: "fa",
+				seeds: func() ([]ops5.Seed, error) {
+					return faSeeds(prog, store, seed, members, memberPairs, faType)
 				},
+				regions: func() []int { return faNeighborhood(store, seed.RegionID) },
 			})
 		}
 	}
-	return tasks
+	return specs
+}
+
+// BuildFATasks returns the FA phase's task queue (see faSpecs).
+func BuildFATasks(kb *KB, store *RegionStore, prog *ops5.Program, frags []*Fragment,
+	pairs []ConsistentPair, outcomes []LCCOutcome, capture bool) []*tlp.Task {
+	return specTasks(faSpecs(kb, store, prog, frags, pairs, outcomes), store, capture)
 }
 
 // faSeeds assembles one FA task's seed working memory: the seed
 // fragment, its member fragments, the consistency rows supporting the
-// aggregation, and the task control row, in assertion order. Shared
-// between the classic task builder and the incremental session.
+// aggregation, and the task control row, in assertion order.
 func faSeeds(prog *ops5.Program, store *RegionStore, seed *Fragment,
 	members []*Fragment, pairs []ConsistentPair, faType string) ([]ops5.Seed, error) {
 
@@ -752,53 +787,32 @@ type Model struct {
 	NFAs  int
 }
 
-// BuildModelTask builds the single MODEL-phase task over the closed
-// functional areas.
+// modelSpec is the single MODEL-phase task over the closed functional
+// areas.
+func modelSpec(store *RegionStore, prog *ops5.Program, frags []*Fragment, fas []FunctionalArea) taskSpec {
+	frags = append([]*Fragment(nil), frags...)
+	fas = append([]FunctionalArea(nil), fas...)
+	return taskSpec{
+		key:   fmt.Sprintf("model-%s", store.Scene().Name),
+		label: fmt.Sprintf("MODEL (%d functional areas)", len(fas)),
+		group: "model",
+		est:   float64(len(fas) + 1),
+		mem:   taskMemEst(2*len(fas) + 1),
+		prog:  prog,
+		phase: "model",
+		seeds: func() ([]ops5.Seed, error) { return modelSeeds(prog, store, frags, fas) },
+	}
+}
+
+// BuildModelTask returns the MODEL phase's single task (see modelSpec).
 func BuildModelTask(kb *KB, store *RegionStore, prog *ops5.Program,
 	frags []*Fragment, fas []FunctionalArea, capture bool) *tlp.Task {
-
-	fragsCopy := append([]*Fragment(nil), frags...)
-	fasCopy := append([]FunctionalArea(nil), fas...)
-	build := func(s *ops5.Scratch) (*ops5.Engine, error) {
-		e, err := newTaskEngine(prog, capture, s)
-		if err != nil {
-			return nil, err
-		}
-		store.Register(e)
-		seeds, err := modelSeeds(prog, store, fragsCopy, fasCopy)
-		if err != nil {
-			return nil, err
-		}
-		if err := e.AssertBatch(seeds); err != nil {
-			return nil, err
-		}
-		return e, nil
-	}
-	return &tlp.Task{
-		ID:        fmt.Sprintf("model-%s", store.Scene().Name),
-		Label:     fmt.Sprintf("MODEL (%d functional areas)", len(fasCopy)),
-		Group:     "model",
-		EstSize:   float64(len(fasCopy) + 1),
-		MemEst:    taskMemEst(2*len(fasCopy) + 1),
-		Build:     func() (*ops5.Engine, error) { return build(nil) },
-		BuildWith: build,
-		Wire: func() (*tlp.WireSpec, error) {
-			seeds, err := modelSeeds(prog, store, fragsCopy, fasCopy)
-			if err != nil {
-				return nil, err
-			}
-			return &tlp.WireSpec{
-				Dataset: store.Scene().Name, Phase: "model",
-				Seeds: seeds, Extract: []string{"model"},
-			}, nil
-		},
-	}
+	return specTasks([]taskSpec{modelSpec(store, prog, frags, fas)}, store, capture)[0]
 }
 
 // modelSeeds assembles the MODEL task's seed working memory: per
 // closed functional area its (deduplicated) seed fragment and fa row,
-// then the task control row, in assertion order. Shared between the
-// classic task builder and the incremental session.
+// then the task control row, in assertion order.
 func modelSeeds(prog *ops5.Program, store *RegionStore, frags []*Fragment, fas []FunctionalArea) ([]ops5.Seed, error) {
 	byID := map[int]*Fragment{}
 	for _, f := range frags {

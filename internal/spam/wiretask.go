@@ -31,11 +31,10 @@ func (d *Dataset) WireBuild(spec *tlp.WireSpec, capture bool) (func(s *ops5.Scra
 	}
 	seeds := spec.Seeds
 	return func(s *ops5.Scratch) (*ops5.Engine, error) {
-		e, err := newTaskEngine(prog, capture, s)
+		e, err := newTaskEngine(d.Store, prog, capture, s)
 		if err != nil {
 			return nil, err
 		}
-		d.Store.Register(e)
 		if err := e.AssertBatch(seeds); err != nil {
 			return nil, err
 		}
